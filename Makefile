@@ -3,7 +3,7 @@
 PY := PYTHONPATH=src python
 
 .PHONY: test smoke-batch fuzz-smoke robustness-smoke trace-smoke \
-	serve-smoke http-smoke chaos-smoke bench clean-cache
+	serve-smoke http-smoke chaos-smoke bench-guards bench clean-cache
 
 # Tier 1: the full unit-test suite (must stay green).
 test:
@@ -81,6 +81,13 @@ http-smoke:
 chaos-smoke:
 	$(PY) -m repro.tools.serve_cli --chaos-smoke examples/mousedev.c \
 	    -I examples/include
+
+# Tier 2: benchmark guards — the fast bounds from benchmarks/: an
+# un-traced parse makes a near-constant number of tracer calls per
+# unit, and its projected hot-loop guard cost stays under 3% of the
+# parse.  About 3 s.
+bench-guards:
+	$(PY) -m pytest -q benchmarks/bench_scaling.py::test_null_tracer_overhead
 
 # Full benchmark suite (Tables 2-3, Figures 8-10, scaling + speedup).
 bench:

@@ -35,7 +35,8 @@ Design notes:
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+import weakref
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bdd import BDDManager, BDDNode
 from repro.cpp.conditions import ConditionConverter, defined_var
@@ -160,6 +161,13 @@ class _Frame:
         self.synthetic = synthetic  # wraps an include under a condition
 
 
+def _weak_sink(preprocessor: "Preprocessor") \
+        -> Callable[[BDDNode, PreprocessorError], bool]:
+    """``preprocessor._expansion_sink`` without a strong reference."""
+    method = weakref.WeakMethod(preprocessor._expansion_sink)
+    return lambda condition, error: method()(condition, error)
+
+
 class Preprocessor:
     """Configuration-preserving preprocessor for one compilation unit."""
 
@@ -181,15 +189,18 @@ class Preprocessor:
         self.stats = PreprocessorStats()
         self.budget = budget or ResourceBudget()
         self._expansion_stats = ExpansionStats()
+        # The expanders reach the sink through a weak reference: a bound
+        # method would close a reference cycle, so this preprocessor —
+        # its token buffers and macro table — would outlive the unit
+        # until the cyclic garbage collector next ran.
+        sink = _weak_sink(self)
         self.expander = Expander(self.table, self.manager,
-                                 self._expansion_stats,
-                                 sink=self._expansion_sink,
+                                 self._expansion_stats, sink=sink,
                                  tracer=self.tracer)
         self.directive_expander = Expander(self.table, self.manager,
                                            self._expansion_stats,
                                            protect_defined=True,
-                                           sink=self._expansion_sink,
-                                           tracer=self.tracer)
+                                           sink=sink, tracer=self.tracer)
         builtin_map = DEFAULT_BUILTINS if builtins is None else builtins
         for name, body in builtin_map.items():
             self.table.define_builtin(name, body)

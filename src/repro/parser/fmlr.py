@@ -20,6 +20,22 @@ Disabling the follow-set gives MAPR's naive per-branch forking; with
 ``mapr_largest_first`` the queue uses MAPR's largest-stack-first
 tie-breaker.  A kill switch bounds the live subparser count (the paper
 uses 16,000 for the MAPR comparison).
+
+Most tokens are processed by a single subparser (§4), so that case is
+cheap, with results identical to the general path at every
+optimization level:
+
+* **carried subparser** — when a step leaves exactly one successor and
+  no other subparser is live, no merge is possible and the queue order
+  is fixed, so the successor goes straight into the next iteration,
+  bypassing the priority queue and the merge index (the per-iteration
+  bookkeeping — counts, kill switch, BDD budget, trace hook — still
+  runs every iteration);
+* **direct one-head step** — a single-headed subparser whose head has
+  one classification does one action lookup and shifts, reduces or
+  accepts without building action groups;
+* each token's base terminal is classified once and memoized on its
+  stream node.
 """
 
 from __future__ import annotations
@@ -184,6 +200,8 @@ class Subparser:
         return self.heads[0][1].position
 
     def condition(self, manager: Any) -> Any:
+        if len(self.heads) == 1:
+            return self.heads[0][0]
         return manager.disjoin(cond for cond, _ in self.heads)
 
     def __repr__(self) -> str:
@@ -308,15 +326,17 @@ class FMLRParser:
             Live subparser conditions are mutually exclusive, so
             dropping a fork abandons exactly its configurations."""
             keep = max(1, options.kill_switch // 2)
-            alive = [entry[2] for entry in queue if entry[2].alive]
-            alive.sort(key=self._priority)
+            alive = [entry for entry in queue if entry[2].alive]
+            alive.sort(key=lambda entry: self._priority(entry[2]))
             victims = alive[max(0, keep - 1):]  # the stepped one stays
             if not victims:
                 return
             dropped_cond = manager.disjoin(
-                victim.condition(manager) for victim in victims)
-            for victim in victims:
+                victim.condition(manager) for _p, _n, victim, _k
+                in victims)
+            for _p, _n, victim, key in victims:
                 victim.alive = False
+                unindex(victim, key)
             live_count[0] -= len(victims)
             stats.kill_switch_trips += 1
             stats.dropped_subparsers += len(victims)
@@ -347,22 +367,26 @@ class FMLRParser:
                 f"BDD budget of {budget.max_bdd_nodes} nodes exceeded "
                 f"({manager.num_nodes()} allocated): parse abandoned "
                 f"for the remaining configurations"))
-        # The queue uses lazy deletion: subparsers merged away are
-        # flagged dead and skipped on pop.  Merging happens on insert,
-        # against live subparsers with the same heads and stack shape
-        # (only newly inserted subparsers can create merge pairs).
-        queue: List[Tuple[Tuple, int, Subparser]] = []
+        # The queue uses lazy deletion: subparsers merged away or shed
+        # are flagged dead and skipped on pop.  Merging happens on
+        # insert, against live subparsers with the same heads and stack
+        # shape (only newly inserted subparsers can create merge pairs).
+        # ``index`` holds exactly the live queued subparsers, bucketed
+        # by that shape; ``live_count`` is their number.
+        queue: List[Tuple[Tuple, int, Subparser, Tuple]] = []
         index: Dict[Tuple, List[Subparser]] = {}
         live_count = [0]
 
-        def merge_key(subparser: Subparser) -> Tuple:
-            return (tuple(id(node) for _c, node in subparser.heads),
-                    subparser.stack.depth, subparser.stack.state)
+        def unindex(subparser: Subparser, key: Tuple) -> None:
+            bucket = index[key]
+            bucket.remove(subparser)
+            if not bucket:
+                del index[key]
 
         def insert(subparser: Subparser) -> None:
-            key = merge_key(subparser)
+            key = (tuple(id(node) for _c, node in subparser.heads),
+                   subparser.stack.depth, subparser.stack.state)
             bucket = index.setdefault(key, [])
-            bucket[:] = [entry for entry in bucket if entry.alive]
             # Bound the candidate scan: when merging is mostly
             # impossible (MAPR mode, no choice nodes), a full scan of a
             # multi-thousand bucket with deep value comparisons would
@@ -381,11 +405,11 @@ class FMLRParser:
                     existing.alive = False
                     bucket[i] = combined
                     heapq.heappush(queue, (self._priority(combined),
-                                           next(counter), combined))
+                                           next(counter), combined, key))
                     return
             bucket.append(subparser)
             heapq.heappush(queue, (self._priority(subparser),
-                                   next(counter), subparser))
+                                   next(counter), subparser, key))
             live_count[0] += 1
 
         if options.follow_set or all(isinstance(n, TokenNode)
@@ -395,12 +419,23 @@ class FMLRParser:
             for cond, node in heads:
                 insert(Subparser(((cond, node),), initial_stack,
                                  context))
-        while queue:
-            _, _, subparser = heapq.heappop(queue)
-            if not subparser.alive:
-                continue
-            subparser.alive = False  # popped: no longer mergeable
-            live_count[0] -= 1
+        # Most steps run with a single live subparser (§4): then no
+        # merge is possible and the queue order is fixed, so a sole
+        # successor is carried straight into the next iteration instead
+        # of going through the queue and the merge index.
+        carried: Optional[Subparser] = None
+        while True:
+            if carried is not None:
+                subparser, carried = carried, None
+            elif queue:
+                _, _, subparser, key = heapq.heappop(queue)
+                if not subparser.alive:
+                    continue
+                subparser.alive = False  # popped: no longer mergeable
+                unindex(subparser, key)
+                live_count[0] -= 1
+            else:
+                break
             stats.iterations += 1
             live = live_count[0] + 1  # include the one being stepped
             stats.subparser_counts.append(live)
@@ -419,6 +454,11 @@ class FMLRParser:
                 break
             successors = self._step(subparser, manager, accepted,
                                     failures, stats)
+            if len(successors) == 1 and not live_count[0]:
+                carried = successors[0]
+                # Whatever is left in the queue is dead.
+                queue.clear()
+                continue
             if len(successors) > 1:
                 forked = len(successors) - 1
                 stats.forks += forked
@@ -452,9 +492,11 @@ class FMLRParser:
         return (position, rank)
 
     def _base_terminal(self, node: TokenNode) -> str:
-        if node.is_eof:
-            return END
-        return self.classify(node.token)
+        terminal = node.terminal
+        if terminal is None:
+            terminal = END if node.is_eof else self.classify(node.token)
+            node.terminal = terminal
+        return terminal
 
     # -- stepping ---------------------------------------------------------
 
@@ -489,21 +531,26 @@ class FMLRParser:
         # Classify every head, splitting on ambiguous classifications
         # (implicit conditionals, e.g. conditionally-defined typedef
         # names) and dropping rejecting heads.
-        classified: List[Tuple[Any, TokenNode, str, Tuple]] = []
+        context = subparser.context
+        refinements = [(node, context.reclassify(
+            node.token, self._base_terminal(node), cond))
+            for cond, node in subparser.heads]
+        if len(refinements) == 1 and len(refinements[0][1]) == 1:
+            # One head, one classification: the common case (§4) needs
+            # one action lookup and no action groups.
+            node, (classification,) = refinements[0]
+            return self._step_one(subparser, node, classification,
+                                  manager, accepted, failures, stats)
         state = subparser.stack.state
-        for cond, node in subparser.heads:
-            base = self._base_terminal(node)
-            for sub_cond, terminal in subparser.context.reclassify(
-                    node.token, base, cond):
+        classified: List[Tuple[Any, TokenNode, str, Tuple]] = []
+        for node, refined in refinements:
+            for sub_cond, terminal in refined:
                 if sub_cond.is_false():
                     continue
                 stats.action_lookups += 1
                 action = self.tables.action[state].get(terminal)
                 if action is None:
-                    failures.append(ParseFailure(
-                        sub_cond,
-                        node.token if not node.is_eof else None,
-                        self.tables.expected_terminals(state)))
+                    self._reject(sub_cond, node, state, failures)
                     continue
                 classified.append((sub_cond, node, terminal, action))
         if not classified:
@@ -552,8 +599,10 @@ class FMLRParser:
         if first_kind == "reduce":
             if len(first_heads) > 1:
                 stats.shared_reduce_count += 1
-            out.extend(self._reduce(subparser, first_extra, first_heads,
-                                    context, manager))
+            out.extend(self._reduce(
+                subparser, first_extra,
+                tuple((cond, node) for cond, node, _t in first_heads),
+                context, manager))
         else:
             out.extend(self._shift(subparser, first_heads, context,
                                    manager, stats))
@@ -564,8 +613,40 @@ class FMLRParser:
             out.append(forked)
         return out
 
+    def _step_one(self, subparser: Subparser, node: TokenNode,
+                  classification: Tuple[Any, str], manager: Any,
+                  accepted: List[Tuple[Any, Any]],
+                  failures: List[ParseFailure],
+                  stats: FMLRStats) -> List[Subparser]:
+        """Step a single-headed subparser whose head has exactly one
+        classification: the action groups of the general path collapse
+        to this one action, done on the subparser's own context."""
+        cond, terminal = classification
+        if cond.is_false():
+            return []
+        state = subparser.stack.state
+        stats.action_lookups += 1
+        action = self.tables.action[state].get(terminal)
+        if action is None:
+            self._reject(cond, node, state, failures)
+            return []
+        if action[0] == SHIFT:
+            return self._shift(subparser, [(cond, node, terminal)],
+                               subparser.context, manager, stats)
+        if action[0] == REDUCE:
+            return self._reduce(subparser, action[1], ((cond, node),),
+                                subparser.context, manager)
+        accepted.append((cond, subparser.stack.value))
+        return []
+
+    def _reject(self, condition: Any, node: TokenNode, state: int,
+                failures: List[ParseFailure]) -> None:
+        failures.append(ParseFailure(
+            condition, node.token if not node.is_eof else None,
+            self.tables.expected_terminals(state)))
+
     def _reduce(self, subparser: Subparser, production_index: int,
-                heads: List[Tuple[Any, TokenNode, str]],
+                heads: Tuple[Tuple[Any, TokenNode], ...],
                 context: ParserContext, manager: Any) -> List[Subparser]:
         production = self.tables.grammar.productions[production_index]
         count = len(production.rhs)
@@ -575,7 +656,10 @@ class FMLRParser:
             values.append(stack.value)
             stack = stack.prev
         values.reverse()
-        condition = manager.disjoin(cond for cond, _n, _t in heads)
+        if len(heads) == 1:
+            condition = heads[0][0]
+        else:
+            condition = manager.disjoin(cond for cond, _n in heads)
         value = build_value(production, values, context)
         context.on_reduce(production, value, condition)
         goto_state = self.tables.goto[stack.state].get(production.lhs)
@@ -583,9 +667,7 @@ class FMLRParser:
             # Malformed tables; treat as rejection for these heads.
             return []
         new_stack = _StackNode(goto_state, production.lhs, value, stack)
-        return [Subparser(tuple((cond, node)
-                                for cond, node, _t in heads),
-                          new_stack, context)]
+        return [Subparser(heads, new_stack, context)]
 
     def _shift(self, subparser: Subparser,
                heads: List[Tuple[Any, TokenNode, str]],
@@ -626,6 +708,10 @@ class FMLRParser:
             return None
         if not left.context.may_merge(right.context):
             return None
+        # Recomputing the conditions costs only apply-cache hits, but
+        # those are counted in BDDManager.stats(), which the golden
+        # fixture (tests/data/fmlr_golden.json) pins; computing each
+        # once would change the counters on every multi-head merge.
         context = left.context.merge_contexts(
             right.context, left.condition(manager),
             right.condition(manager))
@@ -678,6 +764,8 @@ def follow_set(condition: Any, element: StreamElement,
     incoming conditions OR-merged), so the computation is linear in the
     reachable prefix even for long chains of conditionals.
     """
+    if isinstance(element, TokenNode):
+        return [] if condition.is_false() else [(condition, element)]
     pending: Dict[int, List] = {}
 
     def add(cond: Any, elem: StreamElement) -> None:

@@ -5,9 +5,13 @@ toy grammars over preprocessed conditional token streams, including
 the paper's Figure 6 scenario (2^n configurations, O(1) subparsers).
 """
 
+import gc
+
 import pytest
 
+from repro.errors import PHASE_PARSE, PHASE_RESOURCE, ResourceBudget
 from repro.lexer.tokens import TokenKind
+from repro.obs.tracer import Tracer
 from repro.parser import Build, Grammar, Node, StaticChoice, generate
 from repro.parser.ast import project as ast_project
 from repro.parser.fmlr import (FMLROptions, FMLRParser,
@@ -75,6 +79,18 @@ class TestStream:
         nodes = stream_tokens(first)
         assert [n.token.text for n in nodes] == \
             ["x", ";", "z", ";", "y", ";", ""]
+
+
+    def test_stream_leaves_no_cyclic_garbage(self):
+        # A dropped stream is freed at once, not by the cycle collector.
+        unit = preprocess("#ifdef A\nx ;\n#else\nz ;\n#endif\ny ;")
+        gc.collect()
+        gc.disable()
+        try:
+            build_stream(unit.tree, unit.manager)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestFollowSet:
@@ -326,3 +342,67 @@ class TestMerging:
 
         walk(value)
         assert found_choice
+
+
+def unconditional_prefix(items):
+    return "\n".join(f"p{index} ;" for index in range(items))
+
+
+def figure6_suffix(entries):
+    lines = []
+    for index in range(entries):
+        lines += [f"#ifdef CONFIG_{index}", f"check_{index} ;", "#endif"]
+    lines.append("nullend ;")
+    return "\n".join(lines)
+
+
+class TestSingleSubparserPath:
+    """The sole live subparser is carried from one iteration to the
+    next without the queue; the per-iteration bookkeeping must still
+    see every iteration."""
+
+    def test_bdd_budget_checked_on_carried_iterations(self):
+        unit = preprocess(unconditional_prefix(40))
+        # Allocate BDD nodes so the budget is already exceeded; the
+        # parse itself never leaves the single-subparser path.
+        unit.manager.var("X") & unit.manager.var("Y")
+        assert unit.manager.num_nodes() > 1
+        parser = FMLRParser(ident_list_grammar(), classify,
+                            budget=ResourceBudget(max_bdd_nodes=1))
+        result = parser.parse(unit.tree, unit.manager,
+                              unit.feasible_condition)
+        # The budget is checked every 64 iterations, carried or not.
+        assert result.stats.iterations == 64
+        assert result.stats.max_subparsers == 1
+        assert [d.phase for d in result.diagnostics] == [PHASE_RESOURCE]
+        assert result.degraded and not result.accepted
+        assert result.invalid_configs.is_true()
+
+    def test_soft_kill_switch_sheds_after_unconditional_prefix(self):
+        source = unconditional_prefix(30) + "\n" + figure6_suffix(10)
+        options = FMLROptions(follow_set=False, lazy_shifts=False,
+                              shared_reduces=False, early_reduces=False,
+                              choice_merging=False, kill_switch=32)
+        _unit, result = parse_source(source, options=options)
+        stats = result.stats
+        # The prefix ran with one subparser, then forking took over.
+        assert stats.subparser_counts[:60] == [1] * 60
+        assert stats.kill_switch_trips >= 1
+        assert stats.dropped_subparsers > 0
+        assert any(d.phase == PHASE_PARSE for d in result.diagnostics)
+        assert not result.invalid_configs.is_false()
+        assert result.accepted
+
+    def test_traced_histogram_has_one_sample_per_iteration(self):
+        source = unconditional_prefix(20) + "\n" + figure6_suffix(4) \
+            + "\n" + unconditional_prefix(20)
+        unit = preprocess(source)
+        tracer = Tracer()
+        parser = FMLRParser(ident_list_grammar(), classify, tracer=tracer)
+        result = parser.parse(unit.tree, unit.manager,
+                              unit.feasible_condition)
+        stats = result.stats
+        assert result.ok and stats.forks and stats.merges
+        samples = tracer.histograms["fmlr.subparsers"]
+        assert len(samples) == stats.iterations
+        assert [int(v) for v in samples] == stats.subparser_counts

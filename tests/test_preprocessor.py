@@ -1,5 +1,7 @@
 """Integration tests for the configuration-preserving preprocessor."""
 
+import gc
+
 import pytest
 
 from repro.cpp import (Conditional, PreprocessorError, count_conditionals,
@@ -328,3 +330,21 @@ class TestConditionalMacroDefinitionInteraction:
         unit = preprocess(source)
         assert texts(project_unit(unit, {"A": "1"})) == ["0", "1"]
         assert texts(project_unit(unit, {})) == ["0", "0"]
+
+
+class TestLifetime:
+    def test_preprocessing_leaves_no_cyclic_garbage(self):
+        """The expanders' error sink must not tie the preprocessor into
+        a reference cycle: its token buffers and macro table are then
+        freed as soon as preprocessing returns, not whenever the cyclic
+        garbage collector next runs."""
+        source = ("#ifdef A\n#define F(x) (x + 1)\n#else\n"
+                  "#define F(x) (x)\n#endif\nint a = F(2);\n")
+        gc.collect()
+        gc.disable()
+        try:
+            unit = preprocess(source)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert tree_texts(unit)
