@@ -3,7 +3,8 @@
 PY := PYTHONPATH=src python
 
 .PHONY: test smoke-batch fuzz-smoke robustness-smoke trace-smoke \
-	serve-smoke http-smoke chaos-smoke bench-guards bench clean-cache
+	serve-smoke http-smoke chaos-smoke bench-guards bench-smoke bench \
+	clean-cache
 
 # Tier 1: the full unit-test suite (must stay green).
 test:
@@ -88,6 +89,23 @@ chaos-smoke:
 # parse.  About 3 s.
 bench-guards:
 	$(PY) -m pytest -q benchmarks/bench_scaling.py::test_null_tracer_overhead
+
+# Tier 2: benchmark smoke — run each perfbench workload for 2 s on
+# seed 0 and require its result line to read "correct": true, so a
+# change that breaks the benchmark's answer, cache-tier or digest
+# checks fails here and not first in a full benchmark run.  About 35 s.
+BENCH_SMOKE_WORKLOADS := kernel-parse fuzz-diff serve-edit
+
+bench-smoke:
+	@for workload in $(BENCH_SMOKE_WORKLOADS); do \
+	    python3 perfbench/run.py --workload $$workload --seed 0 \
+	        --seconds 2 --trace 0 | tail -n 1 | python3 -c \
+	        "import json, sys; r = json.loads(sys.stdin.read()); \
+	        print('bench-smoke: $$workload correct=%s attempted=%s' \
+	              % (r['correct'], r['attempted'])); \
+	        sys.exit(0 if r['correct'] is True else 1)" \
+	    || exit 1; \
+	done
 
 # Full benchmark suite (Tables 2-3, Figures 8-10, scaling + speedup).
 bench:

@@ -42,8 +42,7 @@ sub-second repeat latency, built for interactive variability tooling:
   :class:`HttpTransport` (``http://`` endpoints); served parses
   satisfy the same structural Result protocol as local ones, and
   transport failures retry under bounded seeded backoff before
-  answering ``status="unavailable"``.  (:class:`ServeClient` remains
-  as a deprecated alias of the socket transport.)
+  answering ``status="unavailable"``.
 
 Typical use::
 
@@ -60,9 +59,9 @@ Typical use::
 
 from repro.serve.admission import AdmissionQueue, Deadline, QueueClosed
 from repro.serve.client import (HttpTransport, RemoteSession,
-                                ServeClient, ServeError,
-                                SocketTransport, Transport, connect,
-                                make_transport, parse_endpoint)
+                                ServeError, SocketTransport, Transport,
+                                connect, make_transport,
+                                parse_endpoint)
 from repro.serve.http import HttpFrontend
 from repro.serve.incremental import (InvalidationIndex,
                                      file_token_digest,
@@ -85,9 +84,9 @@ __all__ = [
     "PROTOCOL_VERSION", "ParseEntry", "ParseJournal", "ParseRequest",
     "ParseServer", "ParseService", "PingRequest", "PoolConfig",
     "ProtocolError", "QueueClosed", "Request", "RemoteSession",
-    "STATUS_SHED", "STATUS_UNAVAILABLE", "ServeClient", "ServeError",
-    "ServerState", "ShutdownRequest", "SocketTransport", "StatsRequest",
-    "TIER_DISK", "TIER_MEMORY", "TIER_TOKEN", "Transport", "Worker",
-    "WorkerPool", "connect", "decode_request", "file_token_digest",
-    "make_transport", "parse_endpoint", "token_fingerprint",
+    "STATUS_SHED", "STATUS_UNAVAILABLE", "ServeError", "ServerState",
+    "ShutdownRequest", "SocketTransport", "StatsRequest", "TIER_DISK",
+    "TIER_MEMORY", "TIER_TOKEN", "Transport", "Worker", "WorkerPool",
+    "connect", "decode_request", "file_token_digest", "make_transport",
+    "parse_endpoint", "token_fingerprint",
 ]

@@ -39,6 +39,14 @@ reader threads: they block on a response slot, never parse.
 Framing is Content-Length on both sides and connections are keep-alive
 (HTTP/1.1 default), so one client connection can serve many requests
 — the warm-cache point of the daemon survives the transport.
+Accepted connections set TCP_NODELAY: the stdlib handler writes the
+headers and the body in two sends, and without it Nagle holds the
+body back until the client ACKs the headers, which the client's
+delayed ACK puts off by ~40 ms on every response.  An error answered
+before the request body was read (404/405 with a body, 411, a bad
+Content-Length, 413) sends ``Connection: close`` and closes the
+connection, since the unread body bytes would otherwise be parsed as
+the next request.
 
 Observability: ``serve.http.requests`` / ``serve.http.errors``
 counters (the per-request ``serve.request`` spans come from the shared
@@ -95,6 +103,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "superc-serve"
+    # TCP_NODELAY on every accepted connection (see the module
+    # docstring): no ~40 ms Nagle/delayed-ACK stall per response.
+    disable_nagle_algorithm = True
 
     # -- entry points --------------------------------------------------
 
@@ -124,16 +135,19 @@ class _Handler(BaseHTTPRequestHandler):
         if length_header is None:
             if self.command == "POST":
                 self._send_error_envelope(
-                    411, "POST needs a Content-Length-framed body")
+                    411, "POST needs a Content-Length-framed body",
+                    close=True)
                 return None
             return {}
         try:
             length = int(length_header)
         except ValueError:
-            self._send_error_envelope(400, "bad Content-Length")
+            self._send_error_envelope(400, "bad Content-Length",
+                                      close=True)
             return None
         if length > MAX_BODY:
-            self._send_error_envelope(413, "request body too large")
+            self._send_error_envelope(413, "request body too large",
+                                      close=True)
             return None
         raw = self.rfile.read(length) if length else b"{}"
         try:
@@ -154,12 +168,16 @@ class _Handler(BaseHTTPRequestHandler):
         path = self.path.split("?", 1)[0].rstrip("/") or "/"
         op = ROUTES.get((method, path))
         if op is None:
+            # The body goes unread: close unless the request has none.
+            close = self.headers.get("Content-Length", "0") != "0" \
+                or "Transfer-Encoding" in self.headers
             known = {route for _method, route in ROUTES}
             if path in known or path == HEALTH_ROUTE:
                 self._send_error_envelope(
-                    405, f"{method} not allowed on {path}")
+                    405, f"{method} not allowed on {path}", close=close)
             else:
-                self._send_error_envelope(404, f"no route {path}")
+                self._send_error_envelope(404, f"no route {path}",
+                                          close=close)
             return
         body = self._read_body()
         if body is None:
@@ -195,12 +213,15 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- response writing ----------------------------------------------
 
-    def _send_error_envelope(self, code: int, message: str) -> None:
-        if self.frontend.tracer.enabled:
-            self.frontend.tracer.count("serve.http.errors")
-        self._send_json(code, protocol.error_reply(None, None, message))
+    def _send_error_envelope(self, code: int, message: str,
+                             close: bool = False) -> None:
+        """An edge error; ``close`` when it is sent before the request
+        body was read, so the connection cannot be reused."""
+        self._send_json(code, protocol.error_reply(None, None, message),
+                        close=close)
 
-    def _send_json(self, code: int, payload: dict) -> None:
+    def _send_json(self, code: int, payload: dict,
+                   close: bool = False) -> None:
         body = json.dumps(payload).encode("utf-8")
         if code >= 400 and self.frontend.tracer.enabled:
             self.frontend.tracer.count("serve.http.errors")
@@ -227,6 +248,9 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_response(code)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
+            if close:
+                # Sets close_connection: the handler loop ends here.
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
         except OSError:

@@ -4,6 +4,8 @@ remote-session client (``repro.serve.protocol`` / ``.http`` /
 
 import http.client
 import json
+import statistics
+import time
 import types
 
 import pytest
@@ -12,8 +14,8 @@ from repro import chaos
 from repro.api import Config, Session, is_result
 from repro.engine.scheduler import CrashLoopBreaker
 from repro.serve import (HttpTransport, ParseServer, ProtocolError,
-                         RemoteSession, ServeClient, SocketTransport,
-                         connect, parse_endpoint)
+                         RemoteSession, SocketTransport, connect,
+                         parse_endpoint)
 from repro.serve import protocol
 from repro.serve.http import ROUTES
 from repro.tools import serve_cli
@@ -198,6 +200,134 @@ class TestHttpFrontend:
         conn.close()
 
 
+class TestEarlyErrorFraming:
+    """A reply sent before the request body was read must close the
+    connection: otherwise the unread body bytes are parsed as the
+    start of the next request on the same keep-alive connection."""
+
+    def _next_ping(self, conn):
+        conn.request("GET", "/v1/ping")
+        response = conn.getresponse()
+        raw = response.read()
+        assert response.status == 200, raw
+        assert json.loads(raw.decode("utf-8"))["protocol"] \
+            == protocol.PROTOCOL_VERSION
+
+    def test_unknown_route_with_body_closes(self, server):
+        conn = http_conn(server)
+        conn.request("POST", "/v1/nope",
+                     body=json.dumps({"path": "a.c"}).encode("utf-8"))
+        response = conn.getresponse()
+        body = json.loads(response.read().decode("utf-8"))
+        assert response.status == 404 and body["status"] == "error"
+        # http.client reopens the connection for the next request.
+        self._next_ping(conn)
+        assert response.getheader("Connection") == "close"
+        conn.close()
+
+    def test_oversized_body_closes(self, server, monkeypatch):
+        from repro.serve import http as serve_http
+        monkeypatch.setattr(serve_http, "MAX_BODY", 16)
+        conn = http_conn(server)
+        code, body = roundtrip(conn, "POST", "/v1/parse",
+                               {"path": "a.c", "fresh": True})
+        assert code == 413 and body["status"] == "error"
+        self._next_ping(conn)
+        conn.close()
+
+    def test_edge_error_counted_once(self, tmp_path):
+        from repro.obs import Tracer
+        tracer = Tracer()
+        server = ParseServer(
+            config=Config(files=dict(FILES),
+                          include_paths=INCLUDE_PATHS),
+            socket_path=str(tmp_path / "count.sock"), http_port=0,
+            tracer=tracer, cache_dir=str(tmp_path / "cache")).start()
+        try:
+            conn = http_conn(server)
+            assert roundtrip(conn, "GET", "/v1/nope")[0] == 404
+            conn.close()
+        finally:
+            server.close()
+        assert tracer.counters["serve.http.errors"] == 1
+
+    def test_bodyless_error_keeps_the_connection(self, server):
+        conn = http_conn(server)
+        code, _body = roundtrip(conn, "GET", "/v1/nope")
+        assert code == 404
+        first = conn.sock
+        self._next_ping(conn)
+        assert conn.sock is first
+        conn.close()
+
+
+class TestTransportFloor:
+    """Sequential keep-alive requests answer in about a millisecond on
+    every transport.  A response written as headers and body in two
+    sends without TCP_NODELAY stalls ~40 ms on Nagle plus the peer's
+    delayed ACK; the 10 ms bound sits well above the real latency and
+    well below that stall."""
+
+    ROUNDS = 20
+    FLOOR_MS = 10.0
+
+    @pytest.fixture
+    def tcp_server(self, tmp_path):
+        server = ParseServer(
+            config=Config(files=dict(FILES),
+                          include_paths=INCLUDE_PATHS),
+            host="127.0.0.1", port=0, http_port=0,
+            cache_dir=str(tmp_path / "cache")).start()
+        yield server
+        server.close()
+
+    def median_ms(self, call):
+        samples = []
+        for _ in range(self.ROUNDS):
+            start = time.perf_counter()
+            call()
+            samples.append((time.perf_counter() - start) * 1000.0)
+        return statistics.median(samples)
+
+    def test_http_requests(self, tcp_server):
+        conn = http_conn(tcp_server)
+        assert roundtrip(conn, "POST", "/v1/parse",
+                         {"path": "a.c"})[1]["cache"] == "miss"
+
+        kinds = {
+            "ping": ("GET", "/v1/ping", None, 200),
+            "hit": ("POST", "/v1/parse", {"path": "a.c"}, 200),
+            "404": ("GET", "/v1/nope", None, 404),
+            "healthz": ("GET", "/healthz", None, 200),
+        }
+        medians = {}
+        for kind, (method, route, body, code) in kinds.items():
+            def call():
+                got, payload = roundtrip(conn, method, route, body)
+                assert got == code, payload
+                assert payload.get("cache", "hit") == "hit", payload
+            medians[kind] = self.median_ms(call)
+        conn.close()
+        assert all(ms < self.FLOOR_MS for ms in medians.values()), \
+            medians
+
+    def test_socket_requests(self, tcp_server):
+        host, port = tcp_server.address
+        with SocketTransport(host=host, port=port) as transport:
+            assert transport.parse("a.c").record["cache"] == "miss"
+
+            def ping():
+                assert transport.ping()["status"] == "ok"
+
+            def hit():
+                assert transport.parse("a.c").record["cache"] == "hit"
+
+            medians = {"ping": self.median_ms(ping),
+                       "hit": self.median_ms(hit)}
+        assert all(ms < self.FLOOR_MS for ms in medians.values()), \
+            medians
+
+
 class TestSharedWarmCache:
     def test_second_transport_first_request_hits(self, server):
         with connect(f"unix:{server.socket_path}") as via_socket, \
@@ -329,28 +459,6 @@ class TestHttpChaos:
 
 
 class TestDeprecationShims:
-    def test_serve_client_warns_and_works(self, server):
-        with pytest.warns(DeprecationWarning, match="connect"):
-            client = ServeClient(socket_path=server.socket_path)
-        with client:
-            assert client.parse("a.c").ok
-        assert isinstance(client, SocketTransport)
-
-    def test_cli_socket_flag_warns(self, server, capsys):
-        with pytest.warns(DeprecationWarning, match="--listen"):
-            rc = serve_cli.main(["--socket", server.socket_path,
-                                 "--stats"])
-        assert rc == 0
-        assert "requests" in capsys.readouterr().out
-
-    def test_cli_port_flag_warns(self, tmp_path):
-        # No server: the deprecated flag still routes to the client
-        # path, which answers a structured failure (exit 1, no raise).
-        with pytest.warns(DeprecationWarning, match="--listen"):
-            rc = serve_cli.main(["--port", "1", "--host", "127.0.0.1",
-                                 "--stats"])
-        assert rc == 1
-
     def test_remote_session_is_the_undeprecated_path(self, server):
         import warnings as warnings_module
         with warnings_module.catch_warnings():
@@ -363,7 +471,7 @@ class TestCliListen:
     def test_usage_error_mentions_both_spellings(self, capsys):
         assert serve_cli.main([]) == 2
         err = capsys.readouterr().err
-        assert "--listen" in err and "--socket" in err
+        assert "--listen" in err and "--connect" in err
 
     def test_conflicting_listeners_rejected(self, capsys):
         rc = serve_cli.main(["--listen", "unix:/tmp/a.sock",

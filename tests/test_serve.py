@@ -15,8 +15,8 @@ from repro.engine import (BatchEngine, CorpusJob, EngineConfig,
 from repro.serve import (AdmissionQueue, Deadline, FileStore,
                          InvalidationIndex, ParseServer, ParseService,
                          PoolConfig, QueueClosed, STATUS_SHED,
-                         STATUS_UNAVAILABLE, ServeClient, ServeError,
-                         ServerState, TIER_DISK, TIER_MEMORY,
+                         STATUS_UNAVAILABLE, ServeError, ServerState,
+                         SocketTransport, TIER_DISK, TIER_MEMORY,
                          TIER_TOKEN, file_token_digest,
                          token_fingerprint)
 from repro.serve.incremental import build_resolved_include_graph
@@ -390,7 +390,7 @@ def running_server(tmp_path):
 class TestParseServerEndToEnd:
     def test_parse_hit_invalidate_shutdown(self, running_server):
         server, sock = running_server
-        with ServeClient(socket_path=sock) as client:
+        with SocketTransport(socket_path=sock) as client:
             assert client.ping()["status"] == "ok"
             first = client.parse("a.c")
             assert first.ok and first.record["cache"] == "miss"
@@ -412,7 +412,7 @@ class TestParseServerEndToEnd:
 
     def test_burst_sheds_beyond_queue_depth(self, running_server):
         server, sock = running_server
-        with ServeClient(socket_path=sock) as client:
+        with SocketTransport(socket_path=sock) as client:
             client.parse("a.c")  # warm tables before timing matters
             ids = [client.submit("parse", path="a.c", delay=0.4,
                                  fresh=True)]
@@ -431,7 +431,7 @@ class TestParseServerEndToEnd:
 
     def test_queue_expired_deadline_times_out(self, running_server):
         server, sock = running_server
-        with ServeClient(socket_path=sock) as client:
+        with SocketTransport(socket_path=sock) as client:
             slow = client.submit("parse", path="a.c", delay=0.4)
             doomed = client.submit("parse", path="b.c", deadline=0.05)
             responses = client.drain([slow, doomed])
@@ -447,7 +447,7 @@ class TestParseServerEndToEnd:
             socket_path=sock, max_queue=16,
             cache_dir=str(tmp_path / "cache")).start()
         try:
-            with ServeClient(socket_path=sock) as client:
+            with SocketTransport(socket_path=sock) as client:
                 ids = [client.submit("parse", path=unit)
                        for unit in UNITS]
                 shutdown_id = client.submit("shutdown")
@@ -462,7 +462,7 @@ class TestParseServerEndToEnd:
 
     def test_requests_after_shutdown_are_shed(self, running_server):
         server, sock = running_server
-        with ServeClient(socket_path=sock) as client:
+        with SocketTransport(socket_path=sock) as client:
             slow = client.submit("parse", path="a.c", delay=0.3)
             shutdown_id = client.submit("shutdown")
             late = client.submit("parse", path="b.c")
@@ -479,7 +479,7 @@ class TestParseServerEndToEnd:
             port=0, cache_dir=str(tmp_path / "cache")).start()
         try:
             host, port = server.address
-            with ServeClient(host=host, port=port) as client:
+            with SocketTransport(host=host, port=port) as client:
                 assert client.parse("c.c").ok
                 assert client.shutdown()["status"] == "ok"
             assert server.wait(10.0)
@@ -487,7 +487,7 @@ class TestParseServerEndToEnd:
             server.close()
 
     def test_connect_failure_raises_serve_error(self, tmp_path):
-        client = ServeClient(socket_path=str(tmp_path / "nope.sock"))
+        client = SocketTransport(socket_path=str(tmp_path / "nope.sock"))
         with pytest.raises(ServeError):
             client.connect()
 
@@ -589,7 +589,7 @@ class TestAdmissionRaces:
         answered ``timeout`` without being parsed (the Deadline starts
         at admission, not at pop)."""
         server, sock = running_server
-        with ServeClient(socket_path=sock) as client:
+        with SocketTransport(socket_path=sock) as client:
             client.parse("a.c")  # warm up so delay dominates
             baseline = server.state.parses
             slow = client.submit("parse", path="a.c", delay=0.4,
@@ -606,16 +606,16 @@ class TestAdmissionRaces:
 
 class TestClientRetry:
     def test_unavailable_after_retry_budget(self, tmp_path):
-        client = ServeClient(socket_path=str(tmp_path / "nope.sock"),
-                             retries=2, backoff_base=0.001)
+        client = SocketTransport(socket_path=str(tmp_path / "nope.sock"),
+                                 retries=2, backoff_base=0.001)
         response = client.request("stats")
         assert response["status"] == STATUS_UNAVAILABLE
         assert response["attempts"] == 3
         assert "cannot connect" in response["error"]
 
     def test_zero_retries_still_structured(self, tmp_path):
-        client = ServeClient(socket_path=str(tmp_path / "nope.sock"),
-                             retries=0)
+        client = SocketTransport(socket_path=str(tmp_path / "nope.sock"),
+                                 retries=0)
         response = client.request("ping")
         assert response["status"] == STATUS_UNAVAILABLE
         assert response["attempts"] == 1
@@ -624,8 +624,8 @@ class TestClientRetry:
         kwargs = dict(socket_path=str(tmp_path / "sock"),
                       backoff_base=0.05, backoff_max=0.4,
                       backoff_jitter=0.5, backoff_seed=3)
-        one = ServeClient(**kwargs)
-        two = ServeClient(**kwargs)
+        one = SocketTransport(**kwargs)
+        two = SocketTransport(**kwargs)
         delays = [one._backoff_delay(n) for n in range(1, 6)]
         assert delays == [two._backoff_delay(n) for n in range(1, 6)]
         assert all(delay <= 0.4 * 1.5 for delay in delays), \
@@ -638,8 +638,8 @@ class TestClientRetry:
         server, sock = running_server
         plan = chaos.FaultPlan()
         with chaos.injected(plan):
-            with ServeClient(socket_path=sock,
-                             backoff_base=0.01) as client:
+            with SocketTransport(socket_path=sock,
+                                 backoff_base=0.01) as client:
                 assert client.parse("c.c").ok
                 plan.arm("conn.send", "drop-conn")
                 result = client.parse("c.c")
@@ -675,7 +675,7 @@ class TestPooledServer:
 
     def test_parse_over_pool(self, pooled_server):
         server, sock = pooled_server
-        with ServeClient(socket_path=sock) as client:
+        with SocketTransport(socket_path=sock) as client:
             first = client.parse("a.c")
             assert first.ok and first.record["cache"] == "miss"
             assert is_result(first)
@@ -691,7 +691,7 @@ class TestPooledServer:
         server, sock = pooled_server
         plan = chaos.FaultPlan()
         with chaos.injected(plan):
-            with ServeClient(socket_path=sock) as client:
+            with SocketTransport(socket_path=sock) as client:
                 plan.arm("pool.request", "worker-crash")
                 result = client.parse("b.c", fresh=True)
                 assert result.ok
@@ -707,7 +707,7 @@ class TestPooledServer:
         server, sock = pooled_server
         plan = chaos.FaultPlan()
         with chaos.injected(plan):
-            with ServeClient(socket_path=sock) as client:
+            with SocketTransport(socket_path=sock) as client:
                 plan.arm("pool.request", "worker-hang", seconds=30.0)
                 hung = client.parse("c.c", fresh=True, deadline=0.8)
                 assert hung.record["status"] == "timeout"
@@ -721,11 +721,11 @@ class TestServeCli:
     def test_usage_error_without_endpoint(self, capsys):
         from repro.tools.serve_cli import main
         assert main([]) == 2
-        assert "--socket" in capsys.readouterr().err
+        assert "--connect" in capsys.readouterr().err
 
     def test_client_mode_connect_failure(self, tmp_path, capsys):
         from repro.tools.serve_cli import main
-        code = main(["--socket", str(tmp_path / "nope.sock"),
+        code = main(["--connect", f"unix:{tmp_path / 'nope.sock'}",
                      "--stats"])
         assert code == 1
         assert "cannot connect" in capsys.readouterr().err
@@ -739,7 +739,7 @@ class TestServeCli:
             cache_dir=str(tmp_path / "cache")).start()
         try:
             from repro.tools.serve_cli import main
-            code = main(["--socket", sock, "--parse", "a.c",
+            code = main(["--connect", f"unix:{sock}", "--parse", "a.c",
                          "--parse", "a.c", "--json", "--shutdown"])
             out = capsys.readouterr().out
             assert code == 0
