@@ -16,7 +16,6 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Sequence
 
-from repro.api import deprecated_property
 from repro.bdd import BDDManager
 from repro.cgrammar import c_tables, classify, make_context_factory
 from repro.cpp import FileSystem, SimplePreprocessor
@@ -30,8 +29,7 @@ class GccLikeResult:
 
     Implements the uniform Result protocol (:mod:`repro.api`):
     construction implies a successful parse (failures raise), so
-    ``status`` is always ``ok``.  The old ``*_seconds`` attributes are
-    deprecated aliases for ``timing.*``.
+    ``status`` is always ``ok``.
     """
 
     def __init__(self, tokens: List[Token], ast, lex_seconds: float,
@@ -54,12 +52,6 @@ class GccLikeResult:
     @property
     def failures(self) -> list:
         return []
-
-    lex_seconds = deprecated_property("lex_seconds", "timing.lex")
-    preprocess_seconds = deprecated_property("preprocess_seconds",
-                                             "timing.preprocess")
-    parse_seconds = deprecated_property("parse_seconds", "timing.parse")
-    total_seconds = deprecated_property("total_seconds", "timing.total")
 
 
 class GccLike:

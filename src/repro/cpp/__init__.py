@@ -7,6 +7,8 @@ Public surface:
   :class:`Conditional` nodes and BDD presence conditions.
 * :class:`SimplePreprocessor` — the single-configuration oracle.
 * :func:`hoist` — Algorithm 1.
+* :class:`LexedFileCache` — included files lexed once, shared by every
+  unit a front-end preprocesses.
 * :class:`MacroTable`, :class:`MacroDefinition` — the conditional macro
   table.
 """
@@ -19,7 +21,8 @@ from repro.cpp.expression import (ExprError, evaluate_int,
                                   parse_expression)
 from repro.cpp.hoist import hoist, unhoist
 from repro.cpp.includes import (DictFileSystem, FileSystem,
-                                IncludeResolver, RealFileSystem,
+                                IncludeResolver, LexedFile,
+                                LexedFileCache, RealFileSystem,
                                 detect_guard)
 from repro.cpp.macro_table import (FREE, UNDEFINED, MacroDefinition,
                                    MacroTable)
@@ -33,8 +36,8 @@ from repro.cpp.tree import (Conditional, count_conditionals, is_flat,
 __all__ = [
     "CompilationUnit", "ConditionConverter", "Conditional",
     "DEFAULT_BUILTINS", "DictFileSystem", "Expander", "ExpansionStats",
-    "ExprError", "FREE", "FileSystem", "IncludeResolver",
-    "MacroDefinition", "MacroTable", "Preprocessor", "PreprocessorError",
+    "ExprError", "FREE", "FileSystem", "IncludeResolver", "LexedFile",
+    "LexedFileCache", "MacroDefinition", "MacroTable", "Preprocessor", "PreprocessorError",
     "PreprocessorStats", "RealFileSystem", "SimplePreprocessor",
     "UNDEFINED", "count_conditionals", "defined_var", "detect_guard",
     "evaluate_int", "expr_var", "hoist", "is_flat", "iter_tokens",

@@ -19,7 +19,7 @@ import posixpath
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.lexer import lex_logical_lines
-from repro.lexer.tokens import TokenKind
+from repro.lexer.tokens import Token, TokenKind
 
 
 class FileSystem:
@@ -90,12 +90,68 @@ class IncludeResolver:
         return None
 
 
-def detect_guard(text: str, filename: str = "<header>") -> Optional[str]:
-    """Return the guard macro name if the file is guard-protected."""
-    try:
-        lines = [line for line in lex_logical_lines(text, filename) if line]
-    except Exception:
+class LexedFile:
+    """One included file's text, its lexed logical lines, and its guard.
+
+    The tokens are pristine: the preprocessor writes ``version`` and
+    ``annotations`` onto the tokens it processes, so every inclusion
+    works on copies (:meth:`copy_lines`) and never on these.
+    """
+
+    __slots__ = ("text", "lines", "guard")
+
+    def __init__(self, text: str, lines: List[List[Token]],
+                 guard: Optional[str]):
+        self.text = text
+        self.lines = lines
+        self.guard = guard
+
+    def copy_lines(self) -> List[List[Token]]:
+        return [[token.copy() for token in line] for line in self.lines]
+
+
+class LexedFileCache:
+    """Lexed included files keyed by resolved path, shared across units.
+
+    A header reached by many compilation units is lexed once per cache
+    instead of once per inclusion.  An entry is reused only while the
+    file's current text is the cached text (the same object or an equal
+    string), so an edited file replaces its entry.  Main units and
+    files that fail to lex are never stored, which bounds the cache by
+    the header set: one entry per path.  Entries are never mutated,
+    only replaced whole, and a lookup checks the text it is given, so
+    threads sharing one cache need no lock.
+    """
+
+    def __init__(self) -> None:
+        self._entries: Dict[str, LexedFile] = {}
+
+    def get(self, path: str, text: str) -> Optional[LexedFile]:
+        entry = self._entries.get(path)
+        if entry is not None and (entry.text is text or entry.text == text):
+            return entry
         return None
+
+    def put(self, path: str, entry: LexedFile) -> None:
+        self._entries[path] = entry
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+def detect_guard(text: str, filename: str = "<header>",
+                 lines: Optional[List[List[Token]]] = None) -> Optional[str]:
+    """Return the guard macro name if the file is guard-protected.
+
+    ``lines`` are the file's already-lexed logical lines; without them
+    the text is lexed here, and a file that does not lex has no guard.
+    """
+    if lines is None:
+        try:
+            lines = lex_logical_lines(text, filename)
+        except Exception:
+            return None
+    lines = [line for line in lines if line]
     directives = [line for line in lines
                   if line and line[0].kind is TokenKind.HASH]
     if len(directives) < 3:

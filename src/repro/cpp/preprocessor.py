@@ -45,7 +45,7 @@ from repro.cpp.expansion import Expander, ExpansionStats
 from repro.cpp.expression import ExprError, parse_expression
 from repro.cpp.hoist import hoist
 from repro.cpp.includes import (DictFileSystem, FileSystem, IncludeResolver,
-                                detect_guard)
+                                LexedFile, LexedFileCache, detect_guard)
 from repro.cpp.macro_table import (FREE, UNDEFINED, MacroDefinition,
                                    MacroTable)
 from repro.cpp.tree import Conditional, TokenTree, max_depth
@@ -177,8 +177,14 @@ class Preprocessor:
                  manager: Optional[BDDManager] = None,
                  extra_definitions: Optional[Dict[str, str]] = None,
                  budget: Optional[ResourceBudget] = None,
-                 tracer: Any = None):
+                 tracer: Any = None,
+                 lex_cache: Optional[LexedFileCache] = None):
         self.fs = fs or DictFileSystem({})
+        # Included files lexed once; a front-end passes one cache to
+        # every unit's preprocessor so shared headers are lexed once
+        # per session rather than once per inclusion.
+        self.lex_cache = lex_cache if lex_cache is not None \
+            else LexedFileCache()
         self.resolver = IncludeResolver(self.fs, include_paths)
         self.manager = manager or BDDManager()
         # Observability hooks (repro.obs): per-file spans, the final
@@ -249,7 +255,11 @@ class Preprocessor:
 
     # -- main loop --------------------------------------------------------------
 
-    def _process_file(self, filename: str, text: str) -> None:
+    def _process_file(self, filename: str, text: str,
+                      lexed: Optional[LexedFile] = None) -> None:
+        """Process one file: ``lexed`` is an included file's cached lex
+        (processed on fresh token copies); without it, ``text`` is
+        lexed here."""
         depth_limit = self.budget.max_include_depth
         if len(self._file_stack) > depth_limit:
             raise PreprocessorError(
@@ -262,7 +272,10 @@ class Preprocessor:
         with self.tracer.span("file", name=filename):
             with self.tracer.span("lex", file=filename):
                 lex_start = time.perf_counter()
-                lines = lex_logical_lines(text, filename)
+                if lexed is None:
+                    lines = lex_logical_lines(text, filename)
+                else:
+                    lines = lexed.copy_lines()
                 self.lex_seconds += time.perf_counter() - lex_start
             for line in lines:
                 if not line:
@@ -634,14 +647,16 @@ class Preprocessor:
                     if (condition & ~already).is_false():
                         return  # guard satisfied everywhere: skip
                 self.stats.reincluded_headers += 1
+                lexed = self._lex_included(path, text)
             else:
-                guard = detect_guard(text, path)
+                lexed = self._lex_included(path, text)
+                guard = lexed.guard if lexed is not None else None
                 self._included[path] = guard
                 if guard is not None:
                     self.guard_macros.add(guard)
             if condition is self._abs_condition() or \
                     condition.equiv(self._abs_condition()).is_true():
-                self._process_file(path, text)
+                self._process_file(path, text, lexed)
                 return
             # Include under a narrower condition (computed-include
             # branch): wrap the file's output in a synthetic
@@ -649,7 +664,7 @@ class Preprocessor:
             frame = _Frame(self._abs_condition(), condition, path,
                            synthetic=True)
             self._frames.append(frame)
-            self._process_file(path, text)
+            self._process_file(path, text, lexed)
             self._frames.pop()
             if frame.buffer:
                 self._buffer().append(
@@ -670,6 +685,28 @@ class Preprocessor:
             raise PreprocessorError(f"broken include file {name!r}: "
                                     f"{error}", origin,
                                     phase=PHASE_LEX) from error
+
+    def _lex_included(self, path: str, text: str) -> Optional[LexedFile]:
+        """The cached lex of an included file, lexing it on a miss.
+
+        A file that does not lex yields None and is not cached:
+        :meth:`_process_file` then lexes it again and raises the
+        :class:`LexerError` where it always has, after the depth check.
+        """
+        lexed = self.lex_cache.get(path, text)
+        if lexed is not None:
+            return lexed
+        with self.tracer.span("lex", file=path):
+            lex_start = time.perf_counter()
+            try:
+                lines = lex_logical_lines(text, path)
+            except LexerError:
+                return None
+            finally:
+                self.lex_seconds += time.perf_counter() - lex_start
+        lexed = LexedFile(text, lines, detect_guard(text, path, lines))
+        self.lex_cache.put(path, lexed)
+        return lexed
 
     # diagnostics and annotations
 

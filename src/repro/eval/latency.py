@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.baselines import FormulaManager, GccLike, allyesconfig
 from repro.cgrammar import c_tables, classify, make_context_factory
 from repro.corpus import KernelCorpus
-from repro.cpp import Preprocessor
+from repro.cpp import LexedFileCache, Preprocessor
 from repro.parser.fmlr import FMLRParser
 from repro.superc import SuperC
 
@@ -108,11 +108,14 @@ def measure_typechef_proxy(corpus: KernelCorpus) -> LatencyDistribution:
     """Figure 9: the same pipeline over CNF+DPLL presence conditions."""
     fs = corpus.filesystem()
     tables = c_tables()
+    # Shared across units, as SuperC shares its own.
+    lex_cache = LexedFileCache()
     samples = []
     for unit in corpus.units:
         manager = FormulaManager()
         preprocessor = Preprocessor(
-            fs, include_paths=corpus.include_paths, manager=manager)
+            fs, include_paths=corpus.include_paths, manager=manager,
+            lex_cache=lex_cache)
         text = fs.read(unit)
         start = time.perf_counter()
         compilation_unit = preprocessor.preprocess(text, unit)

@@ -12,6 +12,13 @@ from __future__ import annotations
 import enum
 from typing import List, Optional, Tuple
 
+# The hide set of every token that has none.  CPython does not intern
+# the empty frozenset, so sharing one keeps a fresh token from carrying
+# its own; expansion builds new sets with ``|`` and never mutates.
+EMPTY_HIDE_SET: frozenset = frozenset()
+
+_new_token = object.__new__
+
 
 class TokenKind(enum.Enum):
     """Lexical classes produced by the lexer.
@@ -57,7 +64,7 @@ class Token:
         self.annotations = annotations or ()
         # The "hide set" used to prevent recursive macro expansion; a
         # frozenset of macro names this token must not expand as.
-        self.no_expand = no_expand or frozenset()
+        self.no_expand = no_expand or EMPTY_HIDE_SET
         # Macro-table version at which this token entered the stream;
         # expansion is deferred, so lookups must replay table history.
         self.version = version
@@ -95,9 +102,19 @@ class Token:
         return clone
 
     def copy(self) -> "Token":
-        return Token(self.kind, self.text, self.file, self.line, self.col,
-                     self.layout, self.annotations, self.no_expand,
-                     self.version)
+        # Slot-by-slot rather than through __init__: the fields are
+        # already normalized, and copies are made per included token.
+        clone = _new_token(Token)
+        clone.kind = self.kind
+        clone.text = self.text
+        clone.file = self.file
+        clone.line = self.line
+        clone.col = self.col
+        clone.layout = self.layout
+        clone.annotations = self.annotations
+        clone.no_expand = self.no_expand
+        clone.version = self.version
+        return clone
 
     # -- equality: structural on kind+text (positions differ after
     #    expansion, and the FMLR merge rule compares token identity by

@@ -26,7 +26,8 @@ what actually changed:
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, Optional, Sequence, Set
+from typing import (Callable, Dict, Iterable, Optional, Sequence, Set,
+                    Tuple)
 
 from repro.analysis.includes_graph import (build_resolved_include_graph,
                                            dependent_files)
@@ -55,15 +56,43 @@ def file_token_digest(text: str, filename: str = "<input>") \
     return digest.hexdigest()
 
 
-def token_fingerprint(read, unit: str,
-                      closure_files: Iterable[str]) -> Optional[str]:
+class TokenDigestMemo:
+    """:func:`file_token_digest` memoized per path.
+
+    Called like ``file_token_digest(text, path)``.  Each path keeps the
+    token digest of the content it last saw, keyed by that content's
+    SHA-256 from ``store.content_digest(path, text)`` (the digest a
+    :class:`repro.serve.state.FileStore` already keeps), so an
+    unchanged file is lexed once and an edited one again.  A file
+    that fails to lex is remembered as None.
+    """
+
+    def __init__(self, store) -> None:
+        self.store = store
+        self._memo: Dict[str, Tuple[str, Optional[str]]] = {}
+
+    def __call__(self, text: str, filename: str) -> Optional[str]:
+        content = self.store.content_digest(filename, text)
+        known = self._memo.get(filename)
+        if known is not None and known[0] == content:
+            return known[1]
+        digest = file_token_digest(text, filename)
+        self._memo[filename] = (content, digest)
+        return digest
+
+
+def token_fingerprint(read, unit: str, closure_files: Iterable[str],
+                      file_digest: Callable[[str, str], Optional[str]]
+                      = file_token_digest) -> Optional[str]:
     """Combined token digest of ``unit``'s whole include closure.
 
     ``read`` is a ``path -> Optional[str]`` callable (a FileSystem
-    ``read`` method).  Closure membership itself is part of the
-    fingerprint — an edit that adds or removes an ``#include`` changes
-    the member list even if every surviving file's tokens are
-    unchanged.  Returns None whenever any member fails to lex.
+    ``read`` method); ``file_digest`` digests one member (a
+    :class:`TokenDigestMemo` avoids re-lexing unchanged files).
+    Closure membership itself is part of the fingerprint — an edit that
+    adds or removes an ``#include`` changes the member list even if
+    every surviving file's tokens are unchanged.  Returns None whenever
+    any member fails to lex.
     """
     combined = hashlib.sha256()
     for path in sorted(set(closure_files) | {unit}):
@@ -71,11 +100,11 @@ def token_fingerprint(read, unit: str,
         if text is None:
             combined.update(f"<missing:{path}>".encode())
             continue
-        file_digest = file_token_digest(text, path)
-        if file_digest is None:
+        member = file_digest(text, path)
+        if member is None:
             return None
         combined.update(path.encode())
-        combined.update(file_digest.encode())
+        combined.update(member.encode())
     return combined.hexdigest()
 
 

@@ -43,7 +43,8 @@ from repro.engine.cache import (ResultCache, config_fingerprint,
 from repro.engine.results import record_from_result
 from repro.obs.tracer import NULL_TRACER
 from repro.parser.fmlr import OPTIMIZATION_LEVELS
-from repro.serve.incremental import InvalidationIndex, token_fingerprint
+from repro.serve.incremental import (InvalidationIndex, TokenDigestMemo,
+                                     token_fingerprint)
 from repro.serve.journal import ParseJournal
 # One status taxonomy for the whole service: which statuses may never
 # be published to the warm tiers is part of the protocol, not of any
@@ -93,6 +94,14 @@ class FileStore(FileSystem):
             return None
         with self._lock:
             return self._digest.get(path)
+
+    def content_digest(self, path: str, text: str) -> str:
+        """SHA-256 of ``text``, the content of ``path``: the digest
+        kept for it when ``text`` is the stored content, else computed."""
+        with self._lock:
+            if self._text.get(path) is text:
+                return self._digest[path]
+        return hashlib.sha256(text.encode()).hexdigest()
 
     def put(self, path: str, text: str) -> None:
         """Overlay ``path`` with new content (in-memory edit)."""
@@ -170,6 +179,9 @@ class ServerState:
                                          tracer=self.tracer)
                              if use_result_cache else None)
         self.index = InvalidationIndex(list(config.include_paths))
+        # Per-file token digests, so a fingerprint re-lexes only the
+        # closure members whose content changed.
+        self.token_digests = TokenDigestMemo(self.files)
         self.entries: Dict[str, ParseEntry] = {}
         self._lock = threading.Lock()
         self.parses = 0
@@ -261,7 +273,7 @@ class ServerState:
             # compare layout-insensitive token fingerprints over the
             # (new) closure before paying for a re-parse.
             fresh_fp = token_fingerprint(self.files.read, unit,
-                                         closure_files)
+                                         closure_files, self.token_digests)
             if fresh_fp is not None and fresh_fp == entry.token_fp:
                 record = entry.record
                 if record is None and entry.key \
@@ -300,7 +312,8 @@ class ServerState:
         self.parses += 1
         if record.get("status") in UNCACHEABLE_STATUSES:
             return record
-        fp = token_fingerprint(self.files.read, unit, closure_files)
+        fp = token_fingerprint(self.files.read, unit, closure_files,
+                               self.token_digests)
         self._remember(unit, key, record, closure_files, token_fp=fp)
         if self.result_cache is not None:
             self.result_cache.put(key, record)

@@ -24,7 +24,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from repro.bdd import BDDManager
 from repro.cgrammar import (SymbolStats, c_tables, classify,
                             make_context_factory)
-from repro.cpp import CompilationUnit, FileSystem, Preprocessor
+from repro.cpp import (CompilationUnit, FileSystem, LexedFileCache,
+                       Preprocessor)
 from repro.cpp.tree import token_count
 from repro.errors import (Diagnostic, PHASE_RESOURCE, ResourceBudget,
                           SEVERITY_CONFIG, SEVERITY_WARNING)
@@ -172,6 +173,10 @@ class SuperC:
             else c_tables()
         self.context_factory_maker = (config.context_factory_maker
                                       or make_context_factory)
+        # Included files lexed once for every unit this front-end
+        # preprocesses (a Session, an engine worker, a QA checker):
+        # shared headers are not re-lexed per unit.
+        self.lex_cache = LexedFileCache()
 
     # -- pipeline -------------------------------------------------------------
 
@@ -226,7 +231,8 @@ class SuperC:
                             builtins=self.builtins,
                             extra_definitions=self.extra_definitions,
                             budget=self.budget,
-                            tracer=self.tracer)
+                            tracer=self.tracer,
+                            lex_cache=self.lex_cache)
 
     def _parse_unit(self, unit: CompilationUnit, lex_seconds: float,
                     pp_seconds: float) -> SuperCResult:

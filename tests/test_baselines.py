@@ -223,7 +223,7 @@ class TestGccLike:
         gcc = GccLike(DictFileSystem({}), builtins=TEST_BUILTINS)
         result = gcc.compile_source("int main(void) { return 0; }\n")
         assert result.ast is not None
-        assert result.total_seconds > 0
+        assert result.timing.total > 0
 
     def test_single_configuration_selected(self):
         source = ("#ifdef CONFIG_A\nint a;\n#else\nint b;\n#endif\n")

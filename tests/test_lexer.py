@@ -1,9 +1,13 @@
 """Unit tests for the C lexer."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.lexer import LexerError, TokenKind, lex, lex_logical_lines, \
     render_tokens
+from repro.lexer.lexer import Lexer, _splice_continuations
+from repro.lexer.tokens import EMPTY_HIDE_SET, Token
 
 
 def kinds(text):
@@ -167,3 +171,109 @@ class TestLogicalLines:
         lines = lex_logical_lines("#ifdef X\nint a;\n#endif")
         assert lines[0][0].kind is TokenKind.HASH
         assert [t.text for t in lines[0]] == ["#", "ifdef", "X"]
+
+
+def _reference_line_map(text):
+    """Spliced text plus the physical line of every spliced character,
+    built one character at a time."""
+    out, line_map, line, i = [], [], 1, 0
+    while i < len(text):
+        if text.startswith("\\\n", i):
+            line, i = line + 1, i + 2
+            continue
+        if text.startswith("\\\r\n", i):
+            line, i = line + 1, i + 3
+            continue
+        out.append(text[i])
+        line_map.append(line)
+        if text[i] == "\n":
+            line += 1
+        i += 1
+    return "".join(out), line_map
+
+
+class _ReferenceLexer(Lexer):
+    """The lexer with positions read off a per-character line map."""
+
+    def __init__(self, text, filename="<input>"):
+        super().__init__(text, filename)
+        spliced, self._map = _reference_line_map(text)
+        assert spliced == self._text
+
+    def _where(self, pos):
+        line_map = self._map
+        line = line_map[pos] if pos < len(line_map) else (
+            line_map[-1] if line_map else 1)
+        return line, pos - self._text.rfind("\n", 0, pos)
+
+
+def _positions(lexer_class, text):
+    try:
+        return [(t.kind, t.text, t.line, t.col, t.layout)
+                for t in lexer_class(text, "f.c").tokens()]
+    except LexerError as error:
+        return ("error", str(error), error.line, error.col)
+
+
+_pieces = st.sampled_from(
+    ["a", "bc", "1", " ", "\t", "\n", "\r\n", "\\\n", "\\\r\n", "\\",
+     "\"", "'", "/*", "*/", "//", "#", "+", ";"])
+
+
+class TestSpliceFastPath:
+    def test_text_without_continuation_is_not_copied(self):
+        text = "int a;\r\n#define B 1\nint c;\n"
+        spliced, starts = _splice_continuations(text)
+        assert spliced is text
+        assert starts == [8, 20, 27]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_pieces, max_size=40).map("".join))
+    def test_positions_match_per_character_map(self, text):
+        assert _positions(Lexer, text) == _positions(_ReferenceLexer, text)
+
+    @pytest.mark.parametrize("text, line, col", [
+        ('int a;\n  "abc\n', 2, 3),
+        ('int a; \\\n\n  "abc\n', 3, 3),
+        ("int a;\r\n  'x\r\n", 2, 3),
+        ("int a; \\\r\n\r\n  'x", 3, 3),
+        ("a\n/* open", 2, 1),
+        ("a \\\n\\\n/* open", 3, 3),
+    ])
+    def test_error_positions(self, text, line, col):
+        with pytest.raises(LexerError) as info:
+            lex(text)
+        assert (info.value.line, info.value.col) == (line, col)
+        assert _positions(Lexer, text) == _positions(_ReferenceLexer, text)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_token_positions_with_and_without_continuation(self, newline):
+        plain = f"int a;{newline}int b;{newline}"
+        spliced = f"int \\{newline}a;{newline}int b;{newline}"
+        b_plain = [t for t in lex(plain) if t.text == "b"][0]
+        b_spliced = [t for t in lex(spliced) if t.text == "b"][0]
+        assert (b_plain.line, b_plain.col) == (2, 5)
+        assert (b_spliced.line, b_spliced.col) == (3, 5)
+        eof = lex(spliced)[-1]
+        assert eof.kind is TokenKind.EOF and eof.line == 3
+
+
+class TestHideSets:
+    def test_fresh_tokens_share_the_empty_hide_set(self):
+        one = Token(TokenKind.IDENTIFIER, "a")
+        two = lex("b")[0]
+        assert one.no_expand is EMPTY_HIDE_SET
+        assert two.no_expand is one.no_expand
+        assert one.copy().no_expand is EMPTY_HIDE_SET
+
+    def test_expansion_leaves_original_hide_set_unchanged(self):
+        from repro.cpp import Preprocessor
+        preprocessor = Preprocessor(builtins={})
+        unit = preprocessor.preprocess("#define F(x) x + F\nF(y)\n", "t.c")
+        # The unexpanded text tokens, as lexed.
+        originals = list(preprocessor._root)
+        assert [token.text for token in originals] == ["F", "(", "y", ")"]
+        assert [token.text for token in unit.tree] == ["y", "+", "F"]
+        assert "F" in unit.tree[2].no_expand
+        assert all(token.no_expand is EMPTY_HIDE_SET for token in originals)
+        assert EMPTY_HIDE_SET == frozenset()

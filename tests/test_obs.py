@@ -362,17 +362,18 @@ class TestUnifiedApi:
                                           "total"}
         assert summary["profile"] is None
 
-    def test_deprecated_timing_shims_warn(self):
+    def test_gcc_like_timing_has_no_seconds_aliases(self):
         from repro.baselines.gcc_like import GccLike
         from repro.cpp import DictFileSystem
         result = GccLike(DictFileSystem({})).compile_source("int x;\n")
-        with pytest.warns(DeprecationWarning, match="timing.parse"):
-            assert result.parse_seconds == result.timing.parse
-        with pytest.warns(DeprecationWarning, match="timing.total"):
-            assert result.total_seconds == result.timing.total
+        for old in ("lex_seconds", "preprocess_seconds", "parse_seconds",
+                    "total_seconds"):
+            assert not hasattr(result, old)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _ = result.timing.total  # the new name is warning-free
+            assert result.timing.total == (result.timing.lex
+                                           + result.timing.preprocess
+                                           + result.timing.parse)
 
 
 class TestCliIntegration:

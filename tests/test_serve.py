@@ -17,8 +17,9 @@ from repro.serve import (AdmissionQueue, Deadline, FileStore,
                          PoolConfig, QueueClosed, STATUS_SHED,
                          STATUS_UNAVAILABLE, ServeError, ServerState,
                          SocketTransport, TIER_DISK, TIER_MEMORY,
-                         TIER_TOKEN, file_token_digest,
+                         TIER_TOKEN, TokenDigestMemo, file_token_digest,
                          token_fingerprint)
+from repro.serve import incremental
 from repro.serve.incremental import build_resolved_include_graph
 
 # A corpus with a header shared by exactly two of three units, plus a
@@ -109,6 +110,40 @@ class TestTokenFingerprint:
         first = token_fingerprint(store.read, "a.c", ["gone.h"])
         second = token_fingerprint(store.read, "a.c", ["gone.h"])
         assert first == second
+
+    def test_memo_relexes_only_edited_files(self, monkeypatch):
+        lexed = []
+        real_lex = incremental.lex
+
+        def counting(text, filename="<input>"):
+            lexed.append(filename)
+            return real_lex(text, filename)
+
+        monkeypatch.setattr(incremental, "lex", counting)
+        store = FileStore(DictFileSystem(dict(FILES)))
+        memo = TokenDigestMemo(store)
+        members = ["include/only_a.h", "include/shared.h"]
+        first = token_fingerprint(store.read, "a.c", members, memo)
+        assert sorted(lexed) == sorted(["a.c"] + members)
+        assert first == token_fingerprint(store.read, "a.c", members)
+        del lexed[:]
+        # Unchanged: nothing is lexed again.
+        assert token_fingerprint(store.read, "a.c", members, memo) == first
+        assert lexed == []
+        # An edited header is lexed again, and only it.
+        store.put("include/shared.h", "#define SHARED 2\n")
+        edited = token_fingerprint(store.read, "a.c", members, memo)
+        assert lexed == ["include/shared.h"]
+        assert edited != first
+        assert edited == token_fingerprint(store.read, "a.c", members)
+        # A member that stops lexing still makes the fingerprint None,
+        # memoized or not.
+        store.put("include/shared.h", "#define SHARED '\n")
+        del lexed[:]
+        assert token_fingerprint(store.read, "a.c", members, memo) is None
+        assert token_fingerprint(store.read, "a.c", members, memo) is None
+        assert lexed == ["include/shared.h"]
+        assert token_fingerprint(store.read, "a.c", members) is None
 
 
 class TestInvalidationIndex:
